@@ -90,13 +90,13 @@ let save_trace (t : t) : unit =
         path
 
 (** Write the Prometheus exposition, if one was requested. A monitored
-    service's windowed time-series families append to the document. *)
-let write_metrics ?metrics (t : t) (stats : Tangram.Stats.t) : unit =
+    service's windowed families ride in the same registry. *)
+let write_metrics (t : t) (stats : Tangram.Stats.t) : unit =
   match t.metrics_out with
   | None -> ()
   | Some path ->
       let oc = open_out path in
-      output_string oc (Tangram.Stats.to_prometheus ?metrics stats);
+      output_string oc (Tangram.Stats.to_prometheus stats);
       close_out oc;
       Printf.printf "wrote metrics to %s\n" path
 

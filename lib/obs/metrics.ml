@@ -1,8 +1,9 @@
 (* Windowed time-series instruments on the virtual clock.
 
    A registry owns a flat list of instruments — counters, gauges and
-   HDR-style log-bucketed histograms, each keyed by (name, label set) —
-   plus a fixed-capacity ring of snapshots. Recording never touches a
+   HDR-style log-bucketed histograms, each keyed by (name, label set)
+   and indexed by that key — plus a fixed-capacity ring of snapshots.
+   Recording never touches a
    clock: windows exist only because somebody calls [snapshot ~now_us]
    at the virtual times they care about, and [windows] then diffs
    adjacent snapshots into per-window deltas and quantiles. That keeps
@@ -87,22 +88,34 @@ let bucket_upper (i : int) : float =
 (* Instruments                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Float state lives in all-float records, which are stored flat:
+   updating one never allocates, so recording allocates the same
+   whatever the values (a boxed maximum would allocate only when a
+   sample raised it) *)
+type cell = { mutable v : float }
+type sums = { mutable h_sum : float; mutable h_max : float }
+
 type hist_state = {
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_max : float;
+  h_sums : sums;
   h_buckets : int array;
 }
 
-type state =
-  | Scounter of { mutable c : float }
-  | Sgauge of { mutable g : float }
-  | Shist of hist_state
+type state = Scounter of cell | Sgauge of cell | Shist of hist_state
 
 type value =
   | Vcounter of float
   | Vgauge of float
   | Vhist of { vh_count : int; vh_sum : float; vh_buckets : int array }
+
+(* (name, sorted labels) -> instrument, so a per-request re-registration
+   is one hash probe, never a scan *)
+module Index = Hashtbl.Make (struct
+  type t = string * (string * string) list
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 32 64
+end)
 
 type instrument = {
   i_name : string;
@@ -121,6 +134,7 @@ and snapshot = {
 and t = {
   mutable enabled : bool;
   mutable insts : instrument list;  (** newest first *)
+  index : instrument Index.t;  (** by (name, sorted labels) *)
   snaps : snapshot option array;
   mutable snap_head : int;  (** next write position *)
   mutable snap_size : int;
@@ -138,6 +152,7 @@ let create ?(snapshots = default_snapshots) ?(enabled = true) () : t =
   {
     enabled;
     insts = [];
+    index = Index.create 64;
     snaps = Array.make snapshots None;
     snap_head = 0;
     snap_size = 0;
@@ -148,21 +163,18 @@ let enabled (t : t) : bool = t.enabled
 
 let instruments (t : t) : instrument list = List.rev t.insts
 
+let rec labels_sorted = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a <= b && labels_sorted rest
+  | _ -> true
+
+let sort_labels labels =
+  if labels_sorted labels then labels
+  else List.sort (fun (a, _) (b, _) -> compare a b) labels
+
 let register (t : t) (kind : kind) ~(help : string)
     ~(labels : (string * string) list) (name : string) : instrument =
-  if not (valid_metric_name name) then
-    invalid_arg (Printf.sprintf "Metrics: illegal metric name %S" name);
-  List.iter
-    (fun (k, _) ->
-      if not (valid_label_name k) then
-        invalid_arg (Printf.sprintf "Metrics: illegal label name %S" k))
-    labels;
-  let labels = List.sort (fun (a, _) (b, _) -> compare a b) labels in
-  match
-    List.find_opt
-      (fun i -> i.i_name = name && i.i_labels = labels)
-      t.insts
-  with
+  let labels = sort_labels labels in
+  match Index.find_opt t.index (name, labels) with
   | Some i ->
       if i.i_kind <> kind then
         invalid_arg
@@ -170,21 +182,28 @@ let register (t : t) (kind : kind) ~(help : string)
              (kind_name i.i_kind));
       i
   | None ->
+      if not (valid_metric_name name) then
+        invalid_arg (Printf.sprintf "Metrics: illegal metric name %S" name);
+      List.iter
+        (fun (k, _) ->
+          if not (valid_label_name k) then
+            invalid_arg (Printf.sprintf "Metrics: illegal label name %S" k))
+        labels;
       let state =
         match kind with
-        | Counter -> Scounter { c = 0.0 }
-        | Gauge -> Sgauge { g = 0.0 }
+        | Counter -> Scounter { v = 0.0 }
+        | Gauge -> Sgauge { v = 0.0 }
         | Histogram ->
             Shist
               {
                 h_count = 0;
-                h_sum = 0.0;
-                h_max = 0.0;
+                h_sums = { h_sum = 0.0; h_max = 0.0 };
                 h_buckets = Array.make hist_buckets 0;
               }
       in
       let i = { i_name = name; i_help = help; i_labels = labels; i_kind = kind;
                 i_state = state; i_reg = t } in
+      Index.add t.index (name, labels) i;
       t.insts <- i :: t.insts;
       i
 
@@ -204,13 +223,13 @@ let histogram (t : t) ?(help = "") ?(labels = []) (name : string) : histogram =
 let inc ?(by = 1.0) (c : counter) : unit =
   if c.i_reg.enabled then
     match c.i_state with
-    | Scounter s -> if by > 0.0 then s.c <- s.c +. by
+    | Scounter s -> if by > 0.0 then s.v <- s.v +. by
     | Sgauge _ | Shist _ -> assert false
 
 let set (g : gauge) (v : float) : unit =
   if g.i_reg.enabled then
     match g.i_state with
-    | Sgauge s -> s.g <- v
+    | Sgauge s -> s.v <- v
     | Scounter _ | Shist _ -> assert false
 
 let observe (h : histogram) (v : float) : unit =
@@ -218,8 +237,9 @@ let observe (h : histogram) (v : float) : unit =
     match h.i_state with
     | Shist s ->
         s.h_count <- s.h_count + 1;
-        s.h_sum <- s.h_sum +. v;
-        if v > s.h_max then s.h_max <- v;
+        let m = s.h_sums in
+        m.h_sum <- m.h_sum +. v;
+        if v > m.h_max then m.h_max <- v;
         let b = s.h_buckets in
         let i = bucket_of v in
         b.(i) <- b.(i) + 1
@@ -230,16 +250,33 @@ let observe (h : histogram) (v : float) : unit =
 (* ------------------------------------------------------------------ *)
 
 let counter_value (c : counter) : float =
-  match c.i_state with Scounter s -> s.c | _ -> assert false
+  match c.i_state with Scounter s -> s.v | _ -> assert false
 
 let gauge_value (g : gauge) : float =
-  match g.i_state with Sgauge s -> s.g | _ -> assert false
+  match g.i_state with Sgauge s -> s.v | _ -> assert false
 
 let hist_count (h : histogram) : int =
   match h.i_state with Shist s -> s.h_count | _ -> assert false
 
 let hist_sum (h : histogram) : float =
-  match h.i_state with Shist s -> s.h_sum | _ -> assert false
+  match h.i_state with Shist s -> s.h_sums.h_sum | _ -> assert false
+
+let hist_max (h : histogram) : float =
+  match h.i_state with Shist s -> s.h_sums.h_max | _ -> assert false
+
+(* the one nearest-rank convention every percentile here shares: [p] in
+   0..100, rank ceil(p/100 * count) clamped to 1..count *)
+let rank ~(count : int) (p : float) : int =
+  let r = int_of_float (Float.ceil (p /. 100.0 *. float_of_int count)) in
+  max 1 (min count r)
+
+let nearest_rank (xs : float array) (p : float) : float =
+  match Array.length xs with
+  | 0 -> 0.0
+  | n ->
+      let sorted = Array.copy xs in
+      Array.sort compare sorted;
+      sorted.(rank ~count:n p - 1)
 
 (* nearest-rank percentile over bucket counts, reading the crossing
    bucket's upper bound; a known true maximum caps the answer (the top
@@ -248,10 +285,7 @@ let quantile_of_buckets ?(maxv = infinity) (buckets : int array) (count : int)
     (p : float) : float =
   if count = 0 then 0.0
   else begin
-    let rank =
-      max 1
-        (min count (int_of_float (Float.ceil (p /. 100.0 *. float_of_int count))))
-    in
+    let rank = rank ~count p in
     let rec go i acc =
       if i >= Array.length buckets then
         if maxv < infinity then maxv else bucket_upper (Array.length buckets - 1)
@@ -265,8 +299,29 @@ let quantile_of_buckets ?(maxv = infinity) (buckets : int array) (count : int)
 
 let quantile (h : histogram) (p : float) : float =
   match h.i_state with
-  | Shist s -> quantile_of_buckets ~maxv:s.h_max s.h_buckets s.h_count p
+  | Shist s -> quantile_of_buckets ~maxv:s.h_sums.h_max s.h_buckets s.h_count p
   | _ -> assert false
+
+let state_value = function
+  | Scounter s | Sgauge s -> s.v
+  | Shist s -> float_of_int s.h_count
+
+let value (t : t) ?(labels = []) (name : string) : float =
+  match Index.find_opt t.index (name, sort_labels labels) with
+  | Some i -> state_value i.i_state
+  | None -> 0.0
+
+let by_key (a : instrument) (b : instrument) : int =
+  match compare a.i_name b.i_name with
+  | 0 -> compare a.i_labels b.i_labels
+  | c -> c
+
+let sorted_instruments (t : t) : instrument list = List.sort by_key t.insts
+
+let series (t : t) (name : string) : ((string * string) list * float) list =
+  List.filter (fun i -> i.i_name = name) t.insts
+  |> List.sort by_key
+  |> List.map (fun i -> (i.i_labels, state_value i.i_state))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and windows                                               *)
@@ -274,11 +329,11 @@ let quantile (h : histogram) (p : float) : float =
 
 let value_of (i : instrument) : value =
   match i.i_state with
-  | Scounter s -> Vcounter s.c
-  | Sgauge s -> Vgauge s.g
+  | Scounter s -> Vcounter s.v
+  | Sgauge s -> Vgauge s.v
   | Shist s ->
       Vhist
-        { vh_count = s.h_count; vh_sum = s.h_sum;
+        { vh_count = s.h_count; vh_sum = s.h_sums.h_sum;
           vh_buckets = Array.copy s.h_buckets }
 
 let snapshot (t : t) ~(now_us : float) : unit =
@@ -368,6 +423,54 @@ let windows (t : t) : window list =
   in
   pairs (snapshots t)
 
+let rows (t : t) : window_row list =
+  List.map
+    (fun i ->
+      let row =
+        { wr_name = i.i_name; wr_labels = i.i_labels; wr_kind = i.i_kind;
+          wr_value = state_value i.i_state; wr_sum = 0.0; wr_p50 = 0.0;
+          wr_p95 = 0.0 }
+      in
+      match i.i_state with
+      | Shist s ->
+          { row with wr_sum = s.h_sums.h_sum; wr_p50 = quantile i 50.0;
+                     wr_p95 = quantile i 95.0 }
+      | Scounter _ | Sgauge _ -> row)
+    (sorted_instruments t)
+
+(* ------------------------------------------------------------------ *)
+(* JSON                                                                *)
+(* ------------------------------------------------------------------ *)
+
+let row_json (r : window_row) : Json.t =
+  Json.Obj
+    ([
+       ("name", Json.Str r.wr_name);
+       ("kind", Json.Str (kind_name r.wr_kind));
+       ( "labels",
+         Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) r.wr_labels) );
+       ("value", Json.Num r.wr_value);
+     ]
+    @
+    if r.wr_kind = Histogram then
+      [
+        ("sum", Json.Num r.wr_sum);
+        ("p50", Json.Num r.wr_p50);
+        ("p95", Json.Num r.wr_p95);
+      ]
+    else [])
+
+let window_json (w : window) : Json.t =
+  Json.Obj
+    [
+      ("from_us", Json.Num w.w_from_us);
+      ("to_us", Json.Num w.w_to_us);
+      ("rows", Json.Arr (List.map row_json w.w_rows));
+    ]
+
+let to_json (t : t) : Json.t =
+  Json.Obj [ ("rows", Json.Arr (List.map row_json (rows t))) ]
+
 (* ------------------------------------------------------------------ *)
 (* Merging (per-domain shard aggregation)                              *)
 (* ------------------------------------------------------------------ *)
@@ -379,12 +482,13 @@ let merge ~(into : t) (src : t) : unit =
         register into i.i_kind ~help:i.i_help ~labels:i.i_labels i.i_name
       in
       match (i.i_state, dst.i_state) with
-      | Scounter s, Scounter d -> d.c <- d.c +. s.c
-      | Sgauge s, Sgauge d -> d.g <- d.g +. s.g
+      | Scounter s, Scounter d -> d.v <- d.v +. s.v
+      | Sgauge s, Sgauge d -> d.v <- d.v +. s.v
       | Shist s, Shist d ->
           d.h_count <- d.h_count + s.h_count;
-          d.h_sum <- d.h_sum +. s.h_sum;
-          if s.h_max > d.h_max then d.h_max <- s.h_max;
+          let ds = d.h_sums and ss = s.h_sums in
+          ds.h_sum <- ds.h_sum +. ss.h_sum;
+          if ss.h_max > ds.h_max then ds.h_max <- ss.h_max;
           Array.iteri (fun k n -> d.h_buckets.(k) <- d.h_buckets.(k) + n)
             s.h_buckets
       | _ -> assert false)
@@ -406,22 +510,14 @@ let render_labels (labels : (string * string) list) : string =
              labels)
       ^ "}"
 
-let render_number (v : float) : string =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
+(* integers exactly, everything else to 12 significant digits: sums
+   of microsecond latencies run to millions *)
+let render_number = Json.number_to_string
 
-let to_prometheus ?(windows : bool = true) (t : t) : string =
+let to_prometheus ?windows:(with_windows = true) (t : t) : string =
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let insts =
-    List.sort
-      (fun a b ->
-        match compare a.i_name b.i_name with
-        | 0 -> compare a.i_labels b.i_labels
-        | c -> c)
-      (instruments t)
-  in
+  let insts = sorted_instruments t in
   let seen_header = Hashtbl.create 16 in
   let header name kind_str help =
     if not (Hashtbl.mem seen_header name) then begin
@@ -435,10 +531,10 @@ let to_prometheus ?(windows : bool = true) (t : t) : string =
       match i.i_state with
       | Scounter s ->
           header i.i_name "counter" i.i_help;
-          pr "%s%s %s\n" i.i_name (render_labels i.i_labels) (render_number s.c)
+          pr "%s%s %s\n" i.i_name (render_labels i.i_labels) (render_number s.v)
       | Sgauge s ->
           header i.i_name "gauge" i.i_help;
-          pr "%s%s %s\n" i.i_name (render_labels i.i_labels) (render_number s.g)
+          pr "%s%s %s\n" i.i_name (render_labels i.i_labels) (render_number s.v)
       | Shist s ->
           header i.i_name "histogram" i.i_help;
           (* cumulative buckets; only occupied le bounds are emitted,
@@ -459,17 +555,10 @@ let to_prometheus ?(windows : bool = true) (t : t) : string =
             (render_labels (i.i_labels @ [ ("le", "+Inf") ]))
             s.h_count;
           pr "%s_sum%s %s\n" i.i_name (render_labels i.i_labels)
-            (render_number s.h_sum);
+            (render_number s.h_sums.h_sum);
           pr "%s_count%s %d\n" i.i_name (render_labels i.i_labels) s.h_count)
     insts;
-  if windows then begin
-    let ws =
-      let rec pairs = function
-        | a :: (b :: _ as rest) -> diff_snaps a b :: pairs rest
-        | _ -> []
-      in
-      pairs (snapshots t)
-    in
+  if with_windows then begin
     List.iteri
       (fun k (w : window) ->
         List.iter
@@ -495,6 +584,6 @@ let to_prometheus ?(windows : bool = true) (t : t) : string =
                 wl "_p50" r.wr_p50;
                 wl "_p95" r.wr_p95)
           w.w_rows)
-      ws
+      (windows t)
   end;
   Buffer.contents buf

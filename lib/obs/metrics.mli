@@ -37,8 +37,10 @@ val enabled : t -> bool
 (** {1 Registration}
 
     Re-registering the same (name, labels) returns the existing
-    instrument. Metric and label names must satisfy the Prometheus
-    grammar ([[a-zA-Z_:][a-zA-Z0-9_:]*] and [[a-zA-Z_][a-zA-Z0-9_]*]).
+    instrument: one hash probe on the (name, sorted labels) index, so a
+    hot path may re-register per call instead of caching handles. Metric
+    and label names must satisfy the Prometheus grammar
+    ([[a-zA-Z_:][a-zA-Z0-9_:]*] and [[a-zA-Z_][a-zA-Z0-9_]*]).
     @raise Invalid_argument on an illegal name or a kind clash. *)
 
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> counter
@@ -65,9 +67,28 @@ val gauge_value : gauge -> float
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 
+(** Largest sample observed (0 when empty). *)
+val hist_max : histogram -> float
+
 (** Nearest-rank percentile ([p] in 0..100) over the bucket counts;
     0 when empty. *)
 val quantile : histogram -> float -> float
+
+(** Exact nearest-rank percentile of raw samples, with the same [p]
+    convention as {!quantile}: the sample at rank [ceil(p/100 * n)]
+    (clamped to 1..n) of a sorted copy; 0 when empty. *)
+val nearest_rank : float array -> float -> float
+
+(** {2 Reading by key}
+
+    These never register: an absent series reads as 0 / is not listed. *)
+
+(** Counter or gauge value, or histogram count, of one series. *)
+val value : t -> ?labels:(string * string) list -> string -> float
+
+(** Every series of one metric name as (sorted labels, value), sorted by
+    labels. *)
+val series : t -> string -> ((string * string) list * float) list
 
 (** {1 Snapshots and windows} *)
 
@@ -99,6 +120,22 @@ type window = {
     windows). Instruments registered mid-ring diff against a zero
     base. *)
 val windows : t -> window list
+
+(** Every instrument's current reading, in the window-row shape (value
+    is the running total, histogram quantiles are over all samples),
+    sorted by (name, labels). *)
+val rows : t -> window_row list
+
+(** {1 JSON}
+
+    A row renders as [{"name", "kind", "labels", "value"}], plus [sum],
+    [p50] and [p95] for histograms. *)
+
+(** [{"from_us", "to_us", "rows": [...]}] *)
+val window_json : window -> Json.t
+
+(** [{"rows": [...]}] over {!rows}: stable key and row order. *)
+val to_json : t -> Json.t
 
 (** {1 Merging} *)
 

@@ -112,17 +112,6 @@ type summary = {
   a_max_brownout : int;
 }
 
-(* percentile over a copy, nearest-rank; mirrors Stats' convention *)
-let percentile (xs : float list) (p : float) : float =
-  match xs with
-  | [] -> 0.0
-  | _ ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      a.(max 0 (min (n - 1) idx))
-
 let predicted_cost_us (cfg : config) (svc : Service.t)
     (arch : Gpusim.Arch.t) (n : int) : float =
   let p = Service.planner svc in
@@ -172,8 +161,7 @@ let ctl_observe (c : controller) ~(depth : int) (latency_us : float) : unit =
     if c.ctl_since >= ctl_period then begin
       c.ctl_since <- 0;
       let window = min c.ctl_filled ctl_window in
-      let recent = Array.to_list (Array.sub c.ctl_ring 0 window) in
-      let p95 = percentile recent 95.0 in
+      let p95 = Obs.Metrics.nearest_rank (Array.sub c.ctl_ring 0 window) 95.0 in
       let cap = c.ctl_cfg.a_queue_cap in
       let level = Service.brownout_level c.ctl_svc in
       let deadline = c.ctl_cfg.a_deadline_us in
@@ -344,7 +332,6 @@ let replay ?(config = default) ?(dense_upto = 0) (svc : Service.t)
   let shed_one (victim : item) ~(why : string) : unit =
     incr shed;
     Stats.shed_request stats ~interactive:(victim.i_prio = Interactive);
-    Service.monitor_shed svc;
     Obs.Log.warn
       ~fields:
         [
@@ -379,7 +366,6 @@ let replay ?(config = default) ?(dense_upto = 0) (svc : Service.t)
     end
     else begin
       Stats.queue_wait_us stats (start -. it.i_arrival);
-      Service.monitor_queue_wait svc (start -. it.i_arrival);
       let remaining = it.i_deadline_at -. start in
       let deadline_us =
         if config.a_enforce_deadline then Some (Float.max 1.0 remaining)
@@ -488,8 +474,8 @@ let replay ?(config = default) ?(dense_upto = 0) (svc : Service.t)
        else float_of_int !goodput /. (makespan /. 1e6));
     a_violations = !violations;
     a_interactive_violations = !ivio;
-    a_p50_us = percentile !latencies 50.0;
-    a_p95_us = percentile !latencies 95.0;
+    a_p50_us = Obs.Metrics.nearest_rank (Array.of_list !latencies) 50.0;
+    a_p95_us = Obs.Metrics.nearest_rank (Array.of_list !latencies) 95.0;
     a_makespan_us = makespan;
     a_max_brownout = ctl.ctl_max;
   }

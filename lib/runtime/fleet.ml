@@ -429,12 +429,7 @@ let note_latency (t : t) (us : float) : unit =
 let observed_p95_us (t : t) : float option =
   let r = t.lat in
   if r.r_fill = 0 then None
-  else begin
-    let sorted = Array.sub r.r_buf 0 r.r_fill in
-    Array.sort compare sorted;
-    let idx = int_of_float (ceil (0.95 *. float_of_int r.r_fill)) - 1 in
-    Some sorted.(Stdlib.max 0 (Stdlib.min (r.r_fill - 1) idx))
-  end
+  else Some (Obs.Metrics.nearest_rank (Array.sub r.r_buf 0 r.r_fill) 95.0)
 
 (* the speculative re-dispatch deadline: p95 of recently observed
    completion latencies times the configured multiplier; None until

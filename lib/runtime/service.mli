@@ -214,10 +214,6 @@ val attach_monitor :
 val detach_monitor : t -> unit
 val monitor_attached : t -> bool
 
-(** The monitor's metrics registry, e.g. for
-    [Stats.to_prometheus ?metrics]. *)
-val monitor_metrics : t -> Obs.Metrics.t option
-
 val monitor_recorder : t -> Recorder.t option
 
 (** The monitor's SLOs as (name, state) rows — empty without a
@@ -231,12 +227,9 @@ val monitor_now_us : t -> float
     replay drivers call this once at the end of a run). *)
 val monitor_snapshot : t -> unit
 
-(** {2 Admission feeds} — the queue lives above the service, but the
-    monitor owns the instruments; no-ops without a monitor. *)
-
+(** The admission queue's depth, a monitor gauge; a no-op without a
+    monitor. *)
 val monitor_queue_depth : t -> int -> unit
-val monitor_queue_wait : t -> float -> unit
-val monitor_shed : t -> unit
 
 (** The deepest brownout ladder step (4: host path only). *)
 val max_brownout : int

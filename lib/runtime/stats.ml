@@ -1,6 +1,19 @@
-(* Service metrics: cache hit/miss counts per bucket, plan/tune/run
-   latency distributions (p50/p95/max over growable sample buffers),
-   eviction and batching counters, and a winning-version histogram. *)
+(* Service metrics as named instruments in one Obs.Metrics registry.
+
+   Every event is a counter (labelled where a table has rows: per
+   bucket, version, SLO, trigger or device), every latency series a
+   log-bucketed histogram family, every maximum a gauge. Memory is
+   bounded by the number of distinct label values, not by the number of
+   requests. The Prometheus exposition and the JSON dump are the
+   registry's generic renderers; only the human text report keeps a
+   layout of its own, and it reads the registry too.
+
+   The series every exposition carries (cache, fault, SDC and overload
+   totals, the five latency stages) are registered up front; the rest
+   appear on first use, which keeps the fleet, monitoring and kernel
+   families absent until they fire. *)
+
+module M = Obs.Metrics
 
 type series = {
   count : int;
@@ -10,1000 +23,496 @@ type series = {
   max : float;
 }
 
-(* growable sample buffer; percentiles are computed at report time *)
-type samples = { mutable data : float array; mutable len : int }
-
-let samples_create () = { data = Array.make 64 0.0; len = 0 }
-
-let sample (s : samples) (x : float) : unit =
-  if s.len = Array.length s.data then begin
-    let bigger = Array.make (2 * s.len) 0.0 in
-    Array.blit s.data 0 bigger 0 s.len;
-    s.data <- bigger
-  end;
-  s.data.(s.len) <- x;
-  s.len <- s.len + 1
-
-let percentile (sorted : float array) (p : float) : float =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(Stdlib.max 0 (Stdlib.min (n - 1) idx))
-
-let summarize (s : samples) : series =
-  if s.len = 0 then { count = 0; mean = 0.0; p50 = 0.0; p95 = 0.0; max = 0.0 }
-  else begin
-    let sorted = Array.sub s.data 0 s.len in
-    Array.sort compare sorted;
-    let total = Array.fold_left ( +. ) 0.0 sorted in
-    {
-      count = s.len;
-      mean = total /. float_of_int s.len;
-      p50 = percentile sorted 0.50;
-      p95 = percentile sorted 0.95;
-      max = sorted.(s.len - 1);
-    }
-  end
-
-type counters = { mutable c_hits : int; mutable c_misses : int }
-
-(* per-(arch, version) kernel-counter aggregation: one cell per pair,
-   populated only when the service has profiling on *)
-type kernel_cell = {
-  mutable k_requests : int;
-  mutable k_totals : Gpusim.Events.totals;
-}
-
-(* per-device fleet cell: populated only when a fleet is attached, so
-   the fleet report section stays absent on single-device services *)
-type fleet_cell = {
-  mutable f_dispatches : int;
-  mutable f_hedge_wins : int;
-  mutable f_ejects : int;
-  mutable f_readmits : int;
-  mutable f_health : float;  (* last reported health score *)
-  mutable f_state : string;  (* last reported lifecycle state *)
-}
-
-type fleet_row = {
-  fd_dispatches : int;
-  fd_hedge_wins : int;
-  fd_ejects : int;
-  fd_readmits : int;
-  fd_health : float;
-  fd_state : string;
-}
-
 type t = {
-  buckets : (string, counters) Hashtbl.t;
-  winners : (string, int) Hashtbl.t;
-  version_faults : (string, int) Hashtbl.t;
-  kernels : (string * string, kernel_cell) Hashtbl.t;
-  brownout_shed_work : (string, int) Hashtbl.t;
-  plan : samples;
-  tune : samples;
-  run : samples;
-  verify : samples;
-  queue_wait : samples;
-  mutable total_hits : int;
-  mutable total_misses : int;
-  mutable total_evictions : int;
-  mutable total_batches : int;
-  mutable total_coalesced : int;
-  mutable total_retries : int;
-  mutable total_faults : int;
-  mutable total_quarantines : int;
-  mutable total_fallbacks : int;
-  mutable total_degraded : int;
-  mutable total_bad_requests : int;
-  mutable backoff_total_us : float;
-  mutable total_sdc_checks : int;
-  mutable total_sdc_catches : int;
-  mutable total_sdc_false_alarms : int;
-  mutable total_sdc_reexecs : int;
-  (* overload-resilience counters: all stay zero unless the admission
-     layer or a deadline budget actually fires, keeping the quiet-path
-     report byte-identical *)
-  mutable total_admitted_interactive : int;
-  mutable total_admitted_batch : int;
-  mutable total_shed_interactive : int;
-  mutable total_shed_batch : int;
-  mutable total_deadline_expiries : int;
-  mutable total_deadline_witness_serves : int;
-  mutable total_brownout_transitions : int;
-  mutable brownout_max : int;
-  (* fleet counters: all stay zero (and the device table empty) unless a
-     fleet is attached, keeping the fleet-less report byte-identical *)
-  fleet_devices : (string, fleet_cell) Hashtbl.t;
-  mutable total_fleet_dispatches : int;
-  mutable total_fleet_reroutes : int;
-  mutable total_fleet_hedges_fired : int;
-  mutable total_fleet_hedges_won : int;
-  mutable total_fleet_ejects : int;
-  mutable total_fleet_readmits : int;
-  mutable total_fleet_deaths : int;
-  mutable total_fleet_drains : int;
-  mutable total_fleet_promotions : int;
-  (* monitoring counters: all stay zero unless an SLO alert fires or
-     the flight recorder dumps an incident, keeping the quiet-path
-     report byte-identical *)
-  mutable total_alerts : int;
-  alerts_by_slo : (string, int) Hashtbl.t;
-  mutable total_incidents : int;
-  incidents_by_kind : (string, int) Hashtbl.t;
+  reg : M.t;
+  plan : M.histogram;
+  tune : M.histogram;
+  run : M.histogram;
+  verify : M.histogram;
+  queue_wait : M.histogram;
 }
+
+let always =
+  [
+    "tangram_cache_hits_total"; "tangram_cache_misses_total";
+    "tangram_cache_evictions_total"; "tangram_batches_total";
+    "tangram_coalesced_requests_total"; "tangram_retries_total";
+    "tangram_faults_total"; "tangram_quarantines_total";
+    "tangram_fallback_serves_total"; "tangram_degraded_serves_total";
+    "tangram_bad_requests_total"; "tangram_backoff_simulated_us_total";
+    "tangram_sdc_checks_total"; "tangram_sdc_catches_total";
+    "tangram_sdc_reexecs_total"; "tangram_sdc_false_alarms_total";
+    "tangram_deadline_expiries_total";
+    "tangram_deadline_witness_serves_total";
+    "tangram_brownout_transitions_total";
+  ]
+
+let class_label interactive =
+  [ ("class", if interactive then "interactive" else "batch") ]
 
 let create () : t =
+  let reg = M.create () in
+  List.iter (fun name -> ignore (M.counter reg name)) always;
+  List.iter
+    (fun interactive ->
+      let labels = class_label interactive in
+      ignore (M.counter reg ~labels "tangram_admitted_total");
+      ignore (M.counter reg ~labels "tangram_shed_total"))
+    [ true; false ];
+  ignore (M.gauge reg "tangram_brownout_max_level");
+  let stage s =
+    M.histogram reg ~labels:[ ("stage", s) ] "tangram_latency_us"
+  in
   {
-    buckets = Hashtbl.create 32;
-    winners = Hashtbl.create 32;
-    version_faults = Hashtbl.create 32;
-    kernels = Hashtbl.create 32;
-    brownout_shed_work = Hashtbl.create 8;
-    plan = samples_create ();
-    tune = samples_create ();
-    run = samples_create ();
-    verify = samples_create ();
-    queue_wait = samples_create ();
-    total_hits = 0;
-    total_misses = 0;
-    total_evictions = 0;
-    total_batches = 0;
-    total_coalesced = 0;
-    total_retries = 0;
-    total_faults = 0;
-    total_quarantines = 0;
-    total_fallbacks = 0;
-    total_degraded = 0;
-    total_bad_requests = 0;
-    backoff_total_us = 0.0;
-    total_sdc_checks = 0;
-    total_sdc_catches = 0;
-    total_sdc_false_alarms = 0;
-    total_sdc_reexecs = 0;
-    total_admitted_interactive = 0;
-    total_admitted_batch = 0;
-    total_shed_interactive = 0;
-    total_shed_batch = 0;
-    total_deadline_expiries = 0;
-    total_deadline_witness_serves = 0;
-    total_brownout_transitions = 0;
-    brownout_max = 0;
-    fleet_devices = Hashtbl.create 8;
-    total_fleet_dispatches = 0;
-    total_fleet_reroutes = 0;
-    total_fleet_hedges_fired = 0;
-    total_fleet_hedges_won = 0;
-    total_fleet_ejects = 0;
-    total_fleet_readmits = 0;
-    total_fleet_deaths = 0;
-    total_fleet_drains = 0;
-    total_fleet_promotions = 0;
-    total_alerts = 0;
-    alerts_by_slo = Hashtbl.create 4;
-    total_incidents = 0;
-    incidents_by_kind = Hashtbl.create 4;
+    reg;
+    plan = stage "plan";
+    tune = stage "tune";
+    run = stage "run";
+    verify = stage "verify";
+    queue_wait = stage "queue_wait";
   }
 
-let counters_for (t : t) (bucket : string) : counters =
-  match Hashtbl.find_opt t.buckets bucket with
-  | Some c -> c
-  | None ->
-      let c = { c_hits = 0; c_misses = 0 } in
-      Hashtbl.add t.buckets bucket c;
-      c
+let registry t = t.reg
 
-let hit (t : t) ~bucket =
-  let c = counters_for t bucket in
-  c.c_hits <- c.c_hits + 1;
-  t.total_hits <- t.total_hits + 1
+(* ------------------------------------------------------------------ *)
+(* Recording                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let miss (t : t) ~bucket =
-  let c = counters_for t bucket in
-  c.c_misses <- c.c_misses + 1;
-  t.total_misses <- t.total_misses + 1
+let bump ?labels ?by (t : t) (name : string) : unit =
+  M.inc ?by (M.counter t.reg ?labels name)
 
-let eviction (t : t) = t.total_evictions <- t.total_evictions + 1
+let raise_to (g : M.gauge) (v : float) : unit =
+  M.set g (Float.max (M.gauge_value g) v)
 
-let winner (t : t) (version : string) : unit =
-  Hashtbl.replace t.winners version
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.winners version))
+let lookup t ~bucket ~result =
+  bump t
+    ~labels:[ ("bucket", bucket); ("result", result) ]
+    "tangram_bucket_lookups_total"
 
-let plan_us (t : t) (x : float) = sample t.plan x
-let tune_us (t : t) (x : float) = sample t.tune x
-let run_us (t : t) (x : float) = sample t.run x
+let hit t ~bucket =
+  bump t "tangram_cache_hits_total";
+  lookup t ~bucket ~result:"hit"
 
-let batch (t : t) ~size:_ ~coalesced =
-  t.total_batches <- t.total_batches + 1;
-  t.total_coalesced <- t.total_coalesced + coalesced
+let miss t ~bucket =
+  bump t "tangram_cache_misses_total";
+  lookup t ~bucket ~result:"miss"
 
-let retry (t : t) = t.total_retries <- t.total_retries + 1
+let eviction t = bump t "tangram_cache_evictions_total"
 
-let fault (t : t) ~(version : string) : unit =
-  t.total_faults <- t.total_faults + 1;
-  Hashtbl.replace t.version_faults version
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.version_faults version))
+let winner t version =
+  bump t ~labels:[ ("version", version) ] "tangram_requests_served_total"
 
-let quarantine (t : t) = t.total_quarantines <- t.total_quarantines + 1
-let fallback (t : t) = t.total_fallbacks <- t.total_fallbacks + 1
-let degrade (t : t) = t.total_degraded <- t.total_degraded + 1
-let bad_request (t : t) = t.total_bad_requests <- t.total_bad_requests + 1
-let backoff_us (t : t) (x : float) = t.backoff_total_us <- t.backoff_total_us +. x
-let sdc_check (t : t) = t.total_sdc_checks <- t.total_sdc_checks + 1
-let sdc_catch (t : t) = t.total_sdc_catches <- t.total_sdc_catches + 1
+let plan_us t x = M.observe t.plan x
+let tune_us t x = M.observe t.tune x
+let run_us t x = M.observe t.run x
 
-let sdc_false_alarm (t : t) =
-  t.total_sdc_false_alarms <- t.total_sdc_false_alarms + 1
+let batch t ~size:_ ~coalesced =
+  bump t "tangram_batches_total";
+  bump t ~by:(float_of_int coalesced) "tangram_coalesced_requests_total"
 
-let sdc_reexec (t : t) = t.total_sdc_reexecs <- t.total_sdc_reexecs + 1
-let verify_us (t : t) (x : float) = sample t.verify x
+let retry t = bump t "tangram_retries_total"
 
-let admit (t : t) ~(interactive : bool) : unit =
-  if interactive then
-    t.total_admitted_interactive <- t.total_admitted_interactive + 1
-  else t.total_admitted_batch <- t.total_admitted_batch + 1
+let fault t ~version =
+  bump t "tangram_faults_total";
+  bump t ~labels:[ ("version", version) ] "tangram_version_faults_total"
 
-let shed_request (t : t) ~(interactive : bool) : unit =
-  if interactive then t.total_shed_interactive <- t.total_shed_interactive + 1
-  else t.total_shed_batch <- t.total_shed_batch + 1
+let quarantine t = bump t "tangram_quarantines_total"
+let fallback t = bump t "tangram_fallback_serves_total"
+let degrade t = bump t "tangram_degraded_serves_total"
+let bad_request t = bump t "tangram_bad_requests_total"
+let backoff_us t x = bump t ~by:x "tangram_backoff_simulated_us_total"
+let sdc_check t = bump t "tangram_sdc_checks_total"
+let sdc_catch t = bump t "tangram_sdc_catches_total"
+let sdc_false_alarm t = bump t "tangram_sdc_false_alarms_total"
+let sdc_reexec t = bump t "tangram_sdc_reexecs_total"
+let verify_us t x = M.observe t.verify x
 
-let deadline_expire (t : t) =
-  t.total_deadline_expiries <- t.total_deadline_expiries + 1
+let admit t ~interactive =
+  bump t ~labels:(class_label interactive) "tangram_admitted_total"
 
-let deadline_witness_serve (t : t) =
-  t.total_deadline_witness_serves <- t.total_deadline_witness_serves + 1
+let shed_request t ~interactive =
+  bump t ~labels:(class_label interactive) "tangram_shed_total"
 
-let brownout_transition (t : t) ~(level : int) : unit =
-  t.total_brownout_transitions <- t.total_brownout_transitions + 1;
-  if level > t.brownout_max then t.brownout_max <- level
+let deadline_expire t = bump t "tangram_deadline_expiries_total"
 
-let brownout_shed (t : t) ~(what : string) : unit =
-  Hashtbl.replace t.brownout_shed_work what
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.brownout_shed_work what))
+let deadline_witness_serve t =
+  bump t "tangram_deadline_witness_serves_total"
 
-let queue_wait_us (t : t) (x : float) = sample t.queue_wait x
+let brownout_transition t ~level =
+  bump t "tangram_brownout_transitions_total";
+  raise_to (M.gauge t.reg "tangram_brownout_max_level") (float_of_int level)
 
-let fleet_cell_for (t : t) (device : string) : fleet_cell =
-  match Hashtbl.find_opt t.fleet_devices device with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          f_dispatches = 0;
-          f_hedge_wins = 0;
-          f_ejects = 0;
-          f_readmits = 0;
-          f_health = 1.0;
-          f_state = "active";
-        }
+let brownout_shed t ~what =
+  bump t ~labels:[ ("work", what) ] "tangram_brownout_shed_total"
+
+let queue_wait_us t x = M.observe t.queue_wait x
+let device d = [ ("device", d) ]
+
+let fleet_dispatch t ~device:d =
+  bump t "tangram_fleet_dispatches_total";
+  bump t ~labels:(device d) "tangram_fleet_device_dispatches_total"
+
+let fleet_health t ~device:d h =
+  M.set (M.gauge t.reg ~labels:(device d) "tangram_fleet_device_health") h
+
+(* the lifecycle state is an enum gauge: 1 on the current state's
+   series, 0 on the device's earlier ones *)
+let fleet_state t ~device:d state =
+  let name = "tangram_fleet_device_state" in
+  List.iter
+    (fun (labels, _) ->
+      if List.assoc "device" labels = d then
+        M.set (M.gauge t.reg ~labels name) 0.0)
+    (M.series t.reg name);
+  M.set (M.gauge t.reg ~labels:[ ("device", d); ("state", state) ] name) 1.0
+
+let fleet_eject t ~device:d =
+  bump t ~labels:(device d) "tangram_fleet_ejections_total"
+
+let fleet_readmit t ~device:d =
+  bump t ~labels:(device d) "tangram_fleet_readmissions_total"
+
+let fleet_dead t ~device:d =
+  bump t ~labels:(device d) "tangram_fleet_dead_total"
+
+let fleet_drain t ~device:d =
+  bump t ~labels:(device d) "tangram_fleet_drains_total"
+
+let fleet_promote t ~device:d =
+  bump t ~labels:(device d) "tangram_fleet_promotions_total"
+
+let fleet_reroute t = bump t "tangram_fleet_reroutes_total"
+let hedges outcome = [ ("outcome", outcome) ]
+
+let fleet_hedge_fired t =
+  bump t ~labels:(hedges "fired") "tangram_fleet_hedges_total"
+
+let fleet_hedge_won t ~device:d =
+  bump t ~labels:(hedges "won") "tangram_fleet_hedges_total";
+  bump t ~labels:(device d) "tangram_fleet_device_hedge_wins_total"
+
+let alert t ~slo = bump t ~labels:[ ("slo", slo) ] "tangram_slo_alerts_total"
+
+let incident t ~kind =
+  bump t ~labels:[ ("trigger", kind) ] "tangram_incidents_total"
+
+(* every totals field but max_heat sums into a labelled counter; the
+   heat is a maximum, so it is a gauge combined with Float.max exactly
+   as Events.add_totals does *)
+let kernel t ~arch ~version (totals : Gpusim.Events.totals) : unit =
+  let labels = [ ("arch", arch); ("version", version) ] in
+  bump t ~labels "tangram_kernel_requests_total";
+  List.iter
+    (fun (name, v) ->
+      if name = "max_heat" then
+        raise_to (M.gauge t.reg ~labels "tangram_kernel_max_heat") v
+      else
+        bump t ~by:v
+          ~labels:[ ("arch", arch); ("counter", name); ("version", version) ]
+          "tangram_kernel_counter_total")
+    (Gpusim.Events.totals_fields totals)
+
+(* ------------------------------------------------------------------ *)
+(* Reading                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let count ?labels t name = int_of_float (M.value t.reg ?labels name)
+
+(* the sum over every series of a family *)
+let total t name =
+  List.fold_left
+    (fun acc (_, v) -> acc + int_of_float v)
+    0 (M.series t.reg name)
+
+(* one label's values with their counts, in label order *)
+let by_label t name label =
+  List.map
+    (fun (ls, v) -> (List.assoc label ls, int_of_float v))
+    (M.series t.reg name)
+
+(* ... most-counted first *)
+let ranked t name label =
+  List.sort
+    (fun (ka, a) (kb, b) -> compare (b, ka) (a, kb))
+    (by_label t name label)
+
+let hits t = count t "tangram_cache_hits_total"
+let misses t = count t "tangram_cache_misses_total"
+let evictions t = count t "tangram_cache_evictions_total"
+let batches t = count t "tangram_batches_total"
+let coalesced t = count t "tangram_coalesced_requests_total"
+let retries t = count t "tangram_retries_total"
+let faults t = count t "tangram_faults_total"
+let quarantines t = count t "tangram_quarantines_total"
+let fallbacks t = count t "tangram_fallback_serves_total"
+let degraded t = count t "tangram_degraded_serves_total"
+let bad_requests t = count t "tangram_bad_requests_total"
+let backoff_total_us t = M.value t.reg "tangram_backoff_simulated_us_total"
+let sdc_checks t = count t "tangram_sdc_checks_total"
+let sdc_catches t = count t "tangram_sdc_catches_total"
+let sdc_false_alarms t = count t "tangram_sdc_false_alarms_total"
+let sdc_reexecs t = count t "tangram_sdc_reexecs_total"
+let admitted t = total t "tangram_admitted_total"
+
+let admitted_interactive t =
+  count t ~labels:(class_label true) "tangram_admitted_total"
+
+let admitted_batch t =
+  count t ~labels:(class_label false) "tangram_admitted_total"
+
+let sheds t = total t "tangram_shed_total"
+let sheds_interactive t =
+  count t ~labels:(class_label true) "tangram_shed_total"
+let sheds_batch t = count t ~labels:(class_label false) "tangram_shed_total"
+let deadline_expiries t = count t "tangram_deadline_expiries_total"
+
+let deadline_witness_serves t =
+  count t "tangram_deadline_witness_serves_total"
+
+let brownout_transitions t = count t "tangram_brownout_transitions_total"
+let brownout_max_level t = count t "tangram_brownout_max_level"
+let brownout_sheds t = by_label t "tangram_brownout_shed_total" "work"
+let fleet_dispatches t = count t "tangram_fleet_dispatches_total"
+let fleet_reroutes t = count t "tangram_fleet_reroutes_total"
+
+let fleet_hedges_fired t =
+  count t ~labels:(hedges "fired") "tangram_fleet_hedges_total"
+
+let fleet_hedges_won t =
+  count t ~labels:(hedges "won") "tangram_fleet_hedges_total"
+
+let fleet_ejects t = total t "tangram_fleet_ejections_total"
+let fleet_readmits t = total t "tangram_fleet_readmissions_total"
+let fleet_deaths t = total t "tangram_fleet_dead_total"
+let fleet_drains t = total t "tangram_fleet_drains_total"
+let fleet_promotions t = total t "tangram_fleet_promotions_total"
+let alerts t = total t "tangram_slo_alerts_total"
+let incidents t = total t "tangram_incidents_total"
+
+let winner_histogram t =
+  ranked t "tangram_requests_served_total" "version"
+
+let series_of (h : M.histogram) : series =
+  let count = M.hist_count h in
+  if count = 0 then { count; mean = 0.0; p50 = 0.0; p95 = 0.0; max = 0.0 }
+  else
+    {
+      count;
+      mean = M.hist_sum h /. float_of_int count;
+      p50 = M.quantile h 50.0;
+      p95 = M.quantile h 95.0;
+      max = M.hist_max h;
+    }
+
+let plan_series t = series_of t.plan
+let tune_series t = series_of t.tune
+let run_series t = series_of t.run
+let verify_series t = series_of t.verify
+let queue_wait_series t = series_of t.queue_wait
+
+let kernel_rows t =
+  List.map
+    (fun (labels, requests) ->
+      let field (name, _) =
+        ( name,
+          if name = "max_heat" then
+            M.value t.reg ~labels "tangram_kernel_max_heat"
+          else
+            M.value t.reg
+              ~labels:(("counter", name) :: labels)
+              "tangram_kernel_counter_total" )
       in
-      Hashtbl.add t.fleet_devices device c;
-      c
+      ( (List.assoc "arch" labels, List.assoc "version" labels),
+        ( int_of_float requests,
+          List.map field
+            (Gpusim.Events.totals_fields Gpusim.Events.zero_totals) ) ))
+    (M.series t.reg "tangram_kernel_requests_total")
 
-let fleet_dispatch (t : t) ~(device : string) : unit =
-  let c = fleet_cell_for t device in
-  c.f_dispatches <- c.f_dispatches + 1;
-  t.total_fleet_dispatches <- t.total_fleet_dispatches + 1
-
-let fleet_health (t : t) ~(device : string) (health : float) : unit =
-  (fleet_cell_for t device).f_health <- health
-
-let fleet_state (t : t) ~(device : string) (state : string) : unit =
-  (fleet_cell_for t device).f_state <- state
-
-let fleet_eject (t : t) ~(device : string) : unit =
-  let c = fleet_cell_for t device in
-  c.f_ejects <- c.f_ejects + 1;
-  t.total_fleet_ejects <- t.total_fleet_ejects + 1
-
-let fleet_readmit (t : t) ~(device : string) : unit =
-  let c = fleet_cell_for t device in
-  c.f_readmits <- c.f_readmits + 1;
-  t.total_fleet_readmits <- t.total_fleet_readmits + 1
-
-let fleet_dead (t : t) ~(device : string) : unit =
-  ignore (fleet_cell_for t device);
-  t.total_fleet_deaths <- t.total_fleet_deaths + 1
-
-let fleet_drain (t : t) ~(device : string) : unit =
-  ignore (fleet_cell_for t device);
-  t.total_fleet_drains <- t.total_fleet_drains + 1
-
-let fleet_promote (t : t) ~(device : string) : unit =
-  ignore (fleet_cell_for t device);
-  t.total_fleet_promotions <- t.total_fleet_promotions + 1
-
-let fleet_reroute (t : t) = t.total_fleet_reroutes <- t.total_fleet_reroutes + 1
-
-let fleet_hedge_fired (t : t) =
-  t.total_fleet_hedges_fired <- t.total_fleet_hedges_fired + 1
-
-let fleet_hedge_won (t : t) ~(device : string) : unit =
-  let c = fleet_cell_for t device in
-  c.f_hedge_wins <- c.f_hedge_wins + 1;
-  t.total_fleet_hedges_won <- t.total_fleet_hedges_won + 1
-
-let alert (t : t) ~(slo : string) : unit =
-  t.total_alerts <- t.total_alerts + 1;
-  Hashtbl.replace t.alerts_by_slo slo
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.alerts_by_slo slo))
-
-let incident (t : t) ~(kind : string) : unit =
-  t.total_incidents <- t.total_incidents + 1;
-  Hashtbl.replace t.incidents_by_kind kind
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.incidents_by_kind kind))
-
-let kernel (t : t) ~(arch : string) ~(version : string)
-    (totals : Gpusim.Events.totals) : unit =
-  let key = (arch, version) in
-  match Hashtbl.find_opt t.kernels key with
-  | Some cell ->
-      cell.k_requests <- cell.k_requests + 1;
-      cell.k_totals <- Gpusim.Events.add_totals cell.k_totals totals
-  | None ->
-      Hashtbl.add t.kernels key { k_requests = 1; k_totals = totals }
-
-let hits t = t.total_hits
-let misses t = t.total_misses
-let evictions t = t.total_evictions
-let batches t = t.total_batches
-let coalesced t = t.total_coalesced
-let retries t = t.total_retries
-let faults t = t.total_faults
-let quarantines t = t.total_quarantines
-let fallbacks t = t.total_fallbacks
-let degraded t = t.total_degraded
-let bad_requests t = t.total_bad_requests
-let backoff_total_us t = t.backoff_total_us
-let sdc_checks t = t.total_sdc_checks
-let sdc_catches t = t.total_sdc_catches
-let sdc_false_alarms t = t.total_sdc_false_alarms
-let sdc_reexecs t = t.total_sdc_reexecs
-let admitted t = t.total_admitted_interactive + t.total_admitted_batch
-let admitted_interactive t = t.total_admitted_interactive
-let admitted_batch t = t.total_admitted_batch
-let sheds t = t.total_shed_interactive + t.total_shed_batch
-let sheds_interactive t = t.total_shed_interactive
-let sheds_batch t = t.total_shed_batch
-let deadline_expiries t = t.total_deadline_expiries
-let deadline_witness_serves t = t.total_deadline_witness_serves
-let brownout_transitions t = t.total_brownout_transitions
-let brownout_max_level t = t.brownout_max
-
-let brownout_sheds (t : t) : (string * int) list =
-  Hashtbl.fold (fun w n acc -> (w, n) :: acc) t.brownout_shed_work []
-  |> List.sort compare
-
-let fleet_dispatches t = t.total_fleet_dispatches
-let fleet_reroutes t = t.total_fleet_reroutes
-let fleet_hedges_fired t = t.total_fleet_hedges_fired
-let fleet_hedges_won t = t.total_fleet_hedges_won
-let fleet_ejects t = t.total_fleet_ejects
-let fleet_readmits t = t.total_fleet_readmits
-let fleet_deaths t = t.total_fleet_deaths
-let fleet_drains t = t.total_fleet_drains
-let fleet_promotions t = t.total_fleet_promotions
-
-let fleet_rows (t : t) : (string * fleet_row) list =
-  Hashtbl.fold
-    (fun device c acc ->
-      ( device,
-        {
-          fd_dispatches = c.f_dispatches;
-          fd_hedge_wins = c.f_hedge_wins;
-          fd_ejects = c.f_ejects;
-          fd_readmits = c.f_readmits;
-          fd_health = c.f_health;
-          fd_state = c.f_state;
-        } )
-      :: acc)
-    t.fleet_devices []
-  |> List.sort compare
-
-(* the gate of the report's fleet section: any fleet traffic or
-   lifecycle event — a service with no fleet attached never records
-   either, so its report is byte-identical to the fleet-less one *)
-let fleet_fired (t : t) : bool =
-  t.total_fleet_dispatches + t.total_fleet_reroutes
-  + t.total_fleet_hedges_fired + t.total_fleet_ejects
-  + t.total_fleet_readmits + t.total_fleet_deaths + t.total_fleet_drains
-  + t.total_fleet_promotions
-  > 0
-  || Hashtbl.length t.fleet_devices > 0
-
-let alerts t = t.total_alerts
-let incidents t = t.total_incidents
-
-let alert_rows (t : t) : (string * int) list =
-  Hashtbl.fold (fun s n acc -> (s, n) :: acc) t.alerts_by_slo []
-  |> List.sort compare
-
-let incident_rows (t : t) : (string * int) list =
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.incidents_by_kind []
-  |> List.sort compare
-
-(* the gate of the report's monitoring section: an attached-but-quiet
-   monitor records nothing here, so its report stays byte-identical *)
-let monitoring_fired (t : t) : bool =
-  t.total_alerts + t.total_incidents > 0
-
-(* the gate of the report's overload section: admission alone (requests
-   flowing through the queue at zero load) is not an overload event *)
-let overload_fired (t : t) : bool =
-  t.total_shed_interactive + t.total_shed_batch + t.total_deadline_expiries
-  + t.total_deadline_witness_serves + t.total_brownout_transitions
+(* the gates of the report's sections: a section stays absent until its
+   machinery fires, so a quiet service prints the report it always did.
+   Admission traffic alone (requests through the queue at zero load) is
+   not an overload event. *)
+let faults_fired t =
+  faults t + retries t + quarantines t + fallbacks t + degraded t
+  + bad_requests t
   > 0
 
-let fault_histogram (t : t) : (string * int) list =
-  Hashtbl.fold (fun v n acc -> (v, n) :: acc) t.version_faults []
-  |> List.sort (fun (va, a) (vb, b) -> compare (b, va) (a, vb))
+let sdc_fired t = sdc_catches t + sdc_false_alarms t + sdc_reexecs t > 0
 
-let bucket_counts (t : t) : (string * (int * int)) list =
-  Hashtbl.fold (fun b c acc -> (b, (c.c_hits, c.c_misses)) :: acc) t.buckets []
-  |> List.sort compare
+let overload_fired t =
+  sheds t + deadline_expiries t + deadline_witness_serves t
+  + brownout_transitions t
+  > 0
 
-let winner_histogram (t : t) : (string * int) list =
-  Hashtbl.fold (fun v n acc -> (v, n) :: acc) t.winners []
-  |> List.sort (fun (va, a) (vb, b) -> compare (b, va) (a, vb))
+(* fleet families register on first use, and attaching a fleet records
+   every device's state: any fleet series means a fleet fired *)
+let fleet_fired t =
+  List.exists
+    (fun (r : M.window_row) ->
+      String.starts_with ~prefix:"tangram_fleet_" r.wr_name)
+    (M.rows t.reg)
 
-let plan_series t = summarize t.plan
-let tune_series t = summarize t.tune
-let run_series t = summarize t.run
-let verify_series t = summarize t.verify
-let queue_wait_series t = summarize t.queue_wait
+let monitoring_fired t = alerts t + incidents t > 0
 
-(** Aggregated kernel counters as ((arch, version), (requests, totals)),
-    sorted by (arch, version). *)
-let kernel_rows (t : t) :
-    ((string * string) * (int * Gpusim.Events.totals)) list =
-  Hashtbl.fold
-    (fun key cell acc -> (key, (cell.k_requests, cell.k_totals)) :: acc)
-    t.kernels []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* ------------------------------------------------------------------ *)
+(* Text report                                                         *)
+(* ------------------------------------------------------------------ *)
 
+(* Host-clocked numbers print unpadded: their digit count varies run to
+   run, and the report's shape must depend only on which lines exist. *)
 let report (t : t) : string =
   let b = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let rows l = List.iter (fun (k, n) -> pr "    %-32s %6d\n" k n) l in
   pr "=== service metrics ===\n";
-  let lookups = t.total_hits + t.total_misses in
+  let hits = hits t and misses = misses t in
+  let lookups = hits + misses in
   pr "cache: %d lookups, %d hits, %d misses (%.1f%% hit rate), %d evictions\n"
-    lookups t.total_hits t.total_misses
+    lookups hits misses
     (if lookups = 0 then 0.0
-     else 100.0 *. float_of_int t.total_hits /. float_of_int lookups)
-    t.total_evictions;
-  if t.total_batches > 0 then
-    pr "batching: %d batches dispatched, %d requests coalesced\n" t.total_batches
-      t.total_coalesced;
+     else 100.0 *. float_of_int hits /. float_of_int lookups)
+    (evictions t);
+  if batches t > 0 then
+    pr "batching: %d batches dispatched, %d requests coalesced\n" (batches t)
+      (coalesced t);
   pr "\nper-bucket lookups (hits/misses):\n";
+  let lookups_of result bucket =
+    count t
+      ~labels:[ ("bucket", bucket); ("result", result) ]
+      "tangram_bucket_lookups_total"
+  in
   List.iter
-    (fun (bucket, (h, m)) -> pr "  %-40s %6d / %d\n" bucket h m)
-    (bucket_counts t);
-  (* a bucket with no samples renders "-", not a misleading 0.0 *)
-  let series name (s : series) =
-    if s.count > 0 then
-      pr "  %-6s %6d samples   p50 %10.1f us   p95 %10.1f us   max %10.1f us\n"
-        name s.count s.p50 s.p95 s.max
-    else
-      pr "  %-6s %6d samples   p50 %10s us   p95 %10s us   max %10s us\n" name 0
-        "-" "-" "-"
+    (fun bucket ->
+      pr "  %-40s %6d / %d\n" bucket (lookups_of "hit" bucket)
+        (lookups_of "miss" bucket))
+    (List.sort_uniq compare
+       (List.map
+          (fun (ls, _) -> List.assoc "bucket" ls)
+          (M.series t.reg "tangram_bucket_lookups_total")));
+  (* an empty series renders "-", not a misleading 0.0 *)
+  let num (s : series) v =
+    if s.count > 0 then Printf.sprintf "%.1f" v else "-"
+  in
+  let line name s =
+    pr "  %-6s %6d samples   p50 %s us   p95 %s us   max %s us\n" name s.count
+      (num s s.p50) (num s s.p95) (num s s.max)
   in
   pr "\nlatencies (host wall clock):\n";
-  series "plan" (plan_series t);
-  series "tune" (tune_series t);
-  series "run" (run_series t);
+  line "plan" (plan_series t);
+  line "tune" (tune_series t);
+  line "run" (run_series t);
   pr "\nwinning versions (requests served):\n";
   List.iter (fun (v, n) -> pr "  %-34s %6d\n" v n) (winner_histogram t);
-  (* the fault-tolerance section appears only once something failed, so a
-     fault-free service prints exactly the report it always did *)
-  if
-    t.total_faults + t.total_retries + t.total_quarantines + t.total_fallbacks
-    + t.total_degraded + t.total_bad_requests
-    > 0
-  then begin
+  if faults_fired t then begin
     pr "\nfault tolerance:\n";
-    pr "  faults %d   retries %d   backoff (simulated) %.1f us\n" t.total_faults
-      t.total_retries t.backoff_total_us;
-    pr "  quarantine events %d   fallback serves %d   degraded serves %d   bad requests %d\n"
-      t.total_quarantines t.total_fallbacks t.total_degraded
-      t.total_bad_requests;
-    match fault_histogram t with
+    pr "  faults %d   retries %d   backoff (simulated) %.1f us\n" (faults t)
+      (retries t) (backoff_total_us t);
+    pr
+      "  quarantine events %d   fallback serves %d   degraded serves %d   \
+       bad requests %d\n"
+      (quarantines t) (fallbacks t) (degraded t) (bad_requests t);
+    match ranked t "tangram_version_faults_total" "version" with
     | [] -> ()
     | hist ->
         pr "  faults by version:\n";
-        List.iter (fun (v, n) -> pr "    %-32s %6d\n" v n) hist
+        rows hist
   end;
-  (* like the fault section, the guard section appears only once a check
-     actually tripped (catch, false alarm or re-execution) — a clean run
-     prints exactly the report it always did, even with the guard on *)
-  if t.total_sdc_catches + t.total_sdc_false_alarms + t.total_sdc_reexecs > 0
-  then begin
+  if sdc_fired t then begin
+    let checks = sdc_checks t in
     pr "\nsilent-data-corruption guard:\n";
-    pr "  checks %d   caught %d   re-executions %d   false alarms %d (%.2f%% of checks)\n"
-      t.total_sdc_checks t.total_sdc_catches t.total_sdc_reexecs
-      t.total_sdc_false_alarms
-      (if t.total_sdc_checks = 0 then 0.0
-       else
-         100.0
-         *. float_of_int t.total_sdc_false_alarms
-         /. float_of_int t.total_sdc_checks);
-    let v = summarize t.verify in
+    pr
+      "  checks %d   caught %d   re-executions %d   false alarms %d (%.2f%% \
+       of checks)\n"
+      checks (sdc_catches t) (sdc_reexecs t) (sdc_false_alarms t)
+      (if checks = 0 then 0.0
+       else 100.0 *. float_of_int (sdc_false_alarms t) /. float_of_int checks);
+    let v = verify_series t in
     if v.count > 0 then
       pr "  verify overhead: p50 %.1f us   p95 %.1f us   max %.1f us\n" v.p50
         v.p95 v.max
   end;
-  (* the overload section appears only once the admission layer shed,
-     expired or browned-out something: a replay through the admission
-     queue at zero load (no overload machinery firing) prints exactly
-     the report it always did *)
   if overload_fired t then begin
     pr "\noverload resilience:\n";
-    pr "  admitted %d (interactive %d, batch %d)   shed %d (interactive %d, batch %d)\n"
-      (admitted t) t.total_admitted_interactive t.total_admitted_batch (sheds t)
-      t.total_shed_interactive t.total_shed_batch;
+    pr
+      "  admitted %d (interactive %d, batch %d)   shed %d (interactive %d, \
+       batch %d)\n"
+      (admitted t) (admitted_interactive t) (admitted_batch t) (sheds t)
+      (sheds_interactive t) (sheds_batch t);
     pr "  deadline expiries %d   degraded witness serves %d\n"
-      t.total_deadline_expiries t.total_deadline_witness_serves;
-    pr "  brownout transitions %d   max level %d\n" t.total_brownout_transitions
-      t.brownout_max;
+      (deadline_expiries t) (deadline_witness_serves t);
+    pr "  brownout transitions %d   max level %d\n" (brownout_transitions t)
+      (brownout_max_level t);
     (match brownout_sheds t with
     | [] -> ()
     | sheds ->
         pr "  work shed under brownout:\n";
-        List.iter (fun (w, n) -> pr "    %-32s %6d\n" w n) sheds);
-    let q = summarize t.queue_wait in
+        rows sheds);
+    let q = queue_wait_series t in
     if q.count > 0 then
       pr "  queue wait (virtual): p50 %.1f us   p95 %.1f us   max %.1f us\n"
         q.p50 q.p95 q.max
   end;
-  (* the fleet section appears only once a fleet routed, hedged or
-     transitioned something — a fleet-less service prints exactly the
-     report it always did *)
   if fleet_fired t then begin
     pr "\ndevice fleet:\n";
-    pr "  dispatches %d   rerouted off dying devices %d   hedges fired %d / won %d\n"
-      t.total_fleet_dispatches t.total_fleet_reroutes
-      t.total_fleet_hedges_fired t.total_fleet_hedges_won;
-    pr "  ejections %d   readmissions %d   dead %d   drains %d   spare promotions %d\n"
-      t.total_fleet_ejects t.total_fleet_readmits t.total_fleet_deaths
-      t.total_fleet_drains t.total_fleet_promotions;
-    match fleet_rows t with
-    | [] -> ()
-    | rows ->
-        pr "  per-device:\n";
-        List.iter
-          (fun (device, r) ->
-            pr "    %-24s %-8s dispatches %6d   hedge wins %4d   health %.2f\n"
-              device r.fd_state r.fd_dispatches r.fd_hedge_wins r.fd_health)
-          rows
+    pr
+      "  dispatches %d   rerouted off dying devices %d   hedges fired %d / \
+       won %d\n"
+      (fleet_dispatches t) (fleet_reroutes t) (fleet_hedges_fired t)
+      (fleet_hedges_won t);
+    pr
+      "  ejections %d   readmissions %d   dead %d   drains %d   spare \
+       promotions %d\n"
+      (fleet_ejects t) (fleet_readmits t) (fleet_deaths t) (fleet_drains t)
+      (fleet_promotions t);
+    let states =
+      List.filter_map
+        (fun (ls, v) ->
+          if v > 0.0 then Some (List.assoc "device" ls, List.assoc "state" ls)
+          else None)
+        (M.series t.reg "tangram_fleet_device_state")
+    in
+    if states <> [] then begin
+      pr "  per-device:\n";
+      List.iter
+        (fun (d, state) ->
+          pr "    %-24s %-8s dispatches %6d   hedge wins %4d   health %.2f\n"
+            d state
+            (count t ~labels:(device d) "tangram_fleet_device_dispatches_total")
+            (count t ~labels:(device d) "tangram_fleet_device_hedge_wins_total")
+            (M.value t.reg ~labels:(device d) "tangram_fleet_device_health"))
+        states
+    end
   end;
-  (* the monitoring section appears only once an SLO alert fired or the
-     flight recorder dumped — an attached-but-healthy monitor prints
-     exactly the report it always did *)
   if monitoring_fired t then begin
     pr "\nmonitoring:\n";
-    pr "  slo alerts %d   incident bundles %d\n" t.total_alerts
-      t.total_incidents;
-    (match alert_rows t with
+    pr "  slo alerts %d   incident bundles %d\n" (alerts t) (incidents t);
+    (match by_label t "tangram_slo_alerts_total" "slo" with
     | [] -> ()
-    | rows ->
+    | slos ->
         pr "  alerts by slo:\n";
-        List.iter (fun (s, n) -> pr "    %-32s %6d\n" s n) rows);
-    match incident_rows t with
+        rows slos);
+    match by_label t "tangram_incidents_total" "trigger" with
     | [] -> ()
-    | rows ->
+    | kinds ->
         pr "  incidents by trigger:\n";
-        List.iter (fun (k, n) -> pr "    %-32s %6d\n" k n) rows
+        rows kinds
   end;
-  (* the profiler section appears only when the service aggregated kernel
-     counters (profiling is off by default), keeping the default report
-     byte-identical *)
   (match kernel_rows t with
   | [] -> ()
-  | rows ->
+  | kernels ->
       pr "\nkernel counters (per arch, version):\n";
       pr "  %-10s %-26s %8s %12s %10s %12s %12s %10s %14s\n" "arch" "version"
         "requests" "warp insts" "shfl" "shared ser" "glb atomics" "max heat"
         "dram bytes";
       List.iter
-        (fun ((arch, version), (requests, tot)) ->
+        (fun ((arch, version), (requests, fields)) ->
+          let f k = List.assoc k fields in
           pr "  %-10s %-26s %8d %12.0f %10.0f %12.0f %12.0f %10.0f %14.0f\n"
-            arch version requests tot.Gpusim.Events.t_warp_insts
-            tot.Gpusim.Events.t_shfl_insts tot.Gpusim.Events.t_shared_serial
-            tot.Gpusim.Events.t_atomic_global_ops tot.Gpusim.Events.t_max_heat
-            tot.Gpusim.Events.t_bytes_dram)
-        rows);
+            arch version requests (f "warp_insts") (f "shfl_insts")
+            (f "shared_serial") (f "atomic_global_ops") (f "max_heat")
+            (f "bytes_dram"))
+        kernels);
   Buffer.contents b
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable twins of the report                                *)
-(* ------------------------------------------------------------------ *)
-
-module J = Obs.Json
-
-let series_json (s : series) : J.t =
-  J.Obj
-    [
-      ("count", J.Num (float_of_int s.count));
-      ("mean", J.Num s.mean);
-      ("p50", J.Num s.p50);
-      ("p95", J.Num s.p95);
-      ("max", J.Num s.max);
-    ]
-
-(** One JSON object mirroring {!report}, with a stable key order —
-    emitting it twice from the same stats yields identical strings. *)
-let to_json (t : t) : string =
-  let int n = J.Num (float_of_int n) in
-  J.to_string
-    (J.Obj
-       [
-         ( "cache",
-           J.Obj
-             [
-               ("lookups", int (t.total_hits + t.total_misses));
-               ("hits", int t.total_hits);
-               ("misses", int t.total_misses);
-               ("evictions", int t.total_evictions);
-             ] );
-         ( "batching",
-           J.Obj
-             [
-               ("batches", int t.total_batches);
-               ("coalesced", int t.total_coalesced);
-             ] );
-         ( "buckets",
-           J.Arr
-             (List.map
-                (fun (bucket, (h, m)) ->
-                  J.Obj
-                    [
-                      ("bucket", J.Str bucket); ("hits", int h); ("misses", int m);
-                    ])
-                (bucket_counts t)) );
-         ( "latencies_us",
-           J.Obj
-             [
-               ("plan", series_json (plan_series t));
-               ("tune", series_json (tune_series t));
-               ("run", series_json (run_series t));
-               ("verify", series_json (verify_series t));
-             ] );
-         ( "winners",
-           J.Arr
-             (List.map
-                (fun (v, n) -> J.Obj [ ("version", J.Str v); ("served", int n) ])
-                (winner_histogram t)) );
-         ( "fault_tolerance",
-           J.Obj
-             [
-               ("faults", int t.total_faults);
-               ("retries", int t.total_retries);
-               ("backoff_us", J.Num t.backoff_total_us);
-               ("quarantines", int t.total_quarantines);
-               ("fallbacks", int t.total_fallbacks);
-               ("degraded", int t.total_degraded);
-               ("bad_requests", int t.total_bad_requests);
-               ( "by_version",
-                 J.Arr
-                   (List.map
-                      (fun (v, n) ->
-                        J.Obj [ ("version", J.Str v); ("faults", int n) ])
-                      (fault_histogram t)) );
-             ] );
-         ( "sdc",
-           J.Obj
-             [
-               ("checks", int t.total_sdc_checks);
-               ("catches", int t.total_sdc_catches);
-               ("reexecs", int t.total_sdc_reexecs);
-               ("false_alarms", int t.total_sdc_false_alarms);
-             ] );
-         ( "overload",
-           J.Obj
-             [
-               ("admitted_interactive", int t.total_admitted_interactive);
-               ("admitted_batch", int t.total_admitted_batch);
-               ("shed_interactive", int t.total_shed_interactive);
-               ("shed_batch", int t.total_shed_batch);
-               ("deadline_expiries", int t.total_deadline_expiries);
-               ( "deadline_witness_serves",
-                 int t.total_deadline_witness_serves );
-               ("brownout_transitions", int t.total_brownout_transitions);
-               ("brownout_max_level", int t.brownout_max);
-               ( "brownout_sheds",
-                 J.Arr
-                   (List.map
-                      (fun (w, n) ->
-                        J.Obj [ ("work", J.Str w); ("shed", int n) ])
-                      (brownout_sheds t)) );
-               ("queue_wait_us", series_json (queue_wait_series t));
-             ] );
-         ( "fleet",
-           J.Obj
-             [
-               ("dispatches", int t.total_fleet_dispatches);
-               ("reroutes", int t.total_fleet_reroutes);
-               ("hedges_fired", int t.total_fleet_hedges_fired);
-               ("hedges_won", int t.total_fleet_hedges_won);
-               ("ejections", int t.total_fleet_ejects);
-               ("readmissions", int t.total_fleet_readmits);
-               ("dead", int t.total_fleet_deaths);
-               ("drains", int t.total_fleet_drains);
-               ("promotions", int t.total_fleet_promotions);
-               ( "devices",
-                 J.Arr
-                   (List.map
-                      (fun (device, r) ->
-                        J.Obj
-                          [
-                            ("device", J.Str device);
-                            ("state", J.Str r.fd_state);
-                            ("dispatches", int r.fd_dispatches);
-                            ("hedge_wins", int r.fd_hedge_wins);
-                            ("ejections", int r.fd_ejects);
-                            ("readmissions", int r.fd_readmits);
-                            ("health", J.Num r.fd_health);
-                          ])
-                      (fleet_rows t)) );
-             ] );
-         ( "monitoring",
-           J.Obj
-             [
-               ("alerts", int t.total_alerts);
-               ("incidents", int t.total_incidents);
-               ( "by_slo",
-                 J.Arr
-                   (List.map
-                      (fun (s, n) ->
-                        J.Obj [ ("slo", J.Str s); ("alerts", int n) ])
-                      (alert_rows t)) );
-               ( "by_trigger",
-                 J.Arr
-                   (List.map
-                      (fun (k, n) ->
-                        J.Obj [ ("trigger", J.Str k); ("incidents", int n) ])
-                      (incident_rows t)) );
-             ] );
-         ( "kernels",
-           J.Arr
-             (List.map
-                (fun ((arch, version), (requests, tot)) ->
-                  J.Obj
-                    (("arch", J.Str arch) :: ("version", J.Str version)
-                    :: ("requests", int requests)
-                    :: List.map
-                         (fun (k, v) -> (k, J.Num v))
-                         (Gpusim.Events.totals_fields tot)))
-                (kernel_rows t)) );
-       ])
-
-(* Prometheus text exposition. Counter families end in _total; the
-   latency series render as summaries (quantile labels + _sum/_count).
-   Label values escape backslash, quote and newline per the format. *)
-let prom_escape (s : string) : string =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_prometheus ?(metrics : Obs.Metrics.t option) (t : t) : string =
-  let b = Buffer.create 2048 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let number = J.number_to_string in
-  let counter name ?(labels = []) (v : float) =
-    match labels with
-    | [] -> pr "%s %s\n" name (number v)
-    | labels ->
-        pr "%s{%s} %s\n" name
-          (String.concat ","
-             (List.map
-                (fun (k, value) -> Printf.sprintf "%s=\"%s\"" k (prom_escape value))
-                labels))
-          (number v)
-  in
-  let typ name kind = pr "# TYPE %s %s\n" name kind in
-  let i = float_of_int in
-  typ "tangram_cache_hits_total" "counter";
-  counter "tangram_cache_hits_total" (i t.total_hits);
-  typ "tangram_cache_misses_total" "counter";
-  counter "tangram_cache_misses_total" (i t.total_misses);
-  typ "tangram_cache_evictions_total" "counter";
-  counter "tangram_cache_evictions_total" (i t.total_evictions);
-  typ "tangram_batches_total" "counter";
-  counter "tangram_batches_total" (i t.total_batches);
-  typ "tangram_coalesced_requests_total" "counter";
-  counter "tangram_coalesced_requests_total" (i t.total_coalesced);
-  typ "tangram_retries_total" "counter";
-  counter "tangram_retries_total" (i t.total_retries);
-  typ "tangram_faults_total" "counter";
-  counter "tangram_faults_total" (i t.total_faults);
-  typ "tangram_quarantines_total" "counter";
-  counter "tangram_quarantines_total" (i t.total_quarantines);
-  typ "tangram_fallback_serves_total" "counter";
-  counter "tangram_fallback_serves_total" (i t.total_fallbacks);
-  typ "tangram_degraded_serves_total" "counter";
-  counter "tangram_degraded_serves_total" (i t.total_degraded);
-  typ "tangram_bad_requests_total" "counter";
-  counter "tangram_bad_requests_total" (i t.total_bad_requests);
-  typ "tangram_backoff_simulated_us_total" "counter";
-  counter "tangram_backoff_simulated_us_total" t.backoff_total_us;
-  typ "tangram_sdc_checks_total" "counter";
-  counter "tangram_sdc_checks_total" (i t.total_sdc_checks);
-  typ "tangram_sdc_catches_total" "counter";
-  counter "tangram_sdc_catches_total" (i t.total_sdc_catches);
-  typ "tangram_sdc_reexecs_total" "counter";
-  counter "tangram_sdc_reexecs_total" (i t.total_sdc_reexecs);
-  typ "tangram_sdc_false_alarms_total" "counter";
-  counter "tangram_sdc_false_alarms_total" (i t.total_sdc_false_alarms);
-  typ "tangram_admitted_total" "counter";
-  counter "tangram_admitted_total"
-    ~labels:[ ("class", "interactive") ]
-    (i t.total_admitted_interactive);
-  counter "tangram_admitted_total"
-    ~labels:[ ("class", "batch") ]
-    (i t.total_admitted_batch);
-  typ "tangram_shed_total" "counter";
-  counter "tangram_shed_total"
-    ~labels:[ ("class", "interactive") ]
-    (i t.total_shed_interactive);
-  counter "tangram_shed_total"
-    ~labels:[ ("class", "batch") ]
-    (i t.total_shed_batch);
-  typ "tangram_deadline_expiries_total" "counter";
-  counter "tangram_deadline_expiries_total" (i t.total_deadline_expiries);
-  typ "tangram_deadline_witness_serves_total" "counter";
-  counter "tangram_deadline_witness_serves_total"
-    (i t.total_deadline_witness_serves);
-  typ "tangram_brownout_transitions_total" "counter";
-  counter "tangram_brownout_transitions_total" (i t.total_brownout_transitions);
-  typ "tangram_brownout_max_level" "gauge";
-  counter "tangram_brownout_max_level" (i t.brownout_max);
-  (match brownout_sheds t with
-  | [] -> ()
-  | sheds ->
-      typ "tangram_brownout_shed_total" "counter";
-      List.iter
-        (fun (w, n) ->
-          counter "tangram_brownout_shed_total" ~labels:[ ("work", w) ] (i n))
-        sheds);
-  (match bucket_counts t with
-  | [] -> ()
-  | buckets ->
-      typ "tangram_bucket_lookups_total" "counter";
-      List.iter
-        (fun (bucket, (h, m)) ->
-          counter "tangram_bucket_lookups_total"
-            ~labels:[ ("bucket", bucket); ("result", "hit") ]
-            (i h);
-          counter "tangram_bucket_lookups_total"
-            ~labels:[ ("bucket", bucket); ("result", "miss") ]
-            (i m))
-        buckets);
-  (match winner_histogram t with
-  | [] -> ()
-  | winners ->
-      typ "tangram_requests_served_total" "counter";
-      List.iter
-        (fun (v, n) ->
-          counter "tangram_requests_served_total"
-            ~labels:[ ("version", v) ]
-            (i n))
-        winners);
-  (match fault_histogram t with
-  | [] -> ()
-  | hist ->
-      typ "tangram_version_faults_total" "counter";
-      List.iter
-        (fun (v, n) ->
-          counter "tangram_version_faults_total" ~labels:[ ("version", v) ] (i n))
-        hist);
-  typ "tangram_latency_us" "summary";
-  List.iter
-    (fun (stage, s) ->
-      counter "tangram_latency_us"
-        ~labels:[ ("stage", stage); ("quantile", "0.5") ]
-        s.p50;
-      counter "tangram_latency_us"
-        ~labels:[ ("stage", stage); ("quantile", "0.95") ]
-        s.p95;
-      counter "tangram_latency_us_sum"
-        ~labels:[ ("stage", stage) ]
-        (s.mean *. i s.count);
-      counter "tangram_latency_us_count" ~labels:[ ("stage", stage) ] (i s.count))
-    [
-      ("plan", plan_series t);
-      ("tune", tune_series t);
-      ("run", run_series t);
-      ("verify", verify_series t);
-      ("queue_wait", queue_wait_series t);
-    ];
-  (* fleet families render only once a fleet fired, mirroring the text
-     report's gate *)
-  if fleet_fired t then begin
-    typ "tangram_fleet_dispatches_total" "counter";
-    counter "tangram_fleet_dispatches_total" (i t.total_fleet_dispatches);
-    typ "tangram_fleet_reroutes_total" "counter";
-    counter "tangram_fleet_reroutes_total" (i t.total_fleet_reroutes);
-    typ "tangram_fleet_hedges_total" "counter";
-    counter "tangram_fleet_hedges_total"
-      ~labels:[ ("outcome", "fired") ]
-      (i t.total_fleet_hedges_fired);
-    counter "tangram_fleet_hedges_total"
-      ~labels:[ ("outcome", "won") ]
-      (i t.total_fleet_hedges_won);
-    typ "tangram_fleet_ejections_total" "counter";
-    counter "tangram_fleet_ejections_total" (i t.total_fleet_ejects);
-    typ "tangram_fleet_readmissions_total" "counter";
-    counter "tangram_fleet_readmissions_total" (i t.total_fleet_readmits);
-    typ "tangram_fleet_dead_total" "counter";
-    counter "tangram_fleet_dead_total" (i t.total_fleet_deaths);
-    typ "tangram_fleet_drains_total" "counter";
-    counter "tangram_fleet_drains_total" (i t.total_fleet_drains);
-    typ "tangram_fleet_promotions_total" "counter";
-    counter "tangram_fleet_promotions_total" (i t.total_fleet_promotions);
-    match fleet_rows t with
-    | [] -> ()
-    | rows ->
-        typ "tangram_fleet_device_dispatches_total" "counter";
-        List.iter
-          (fun (device, r) ->
-            counter "tangram_fleet_device_dispatches_total"
-              ~labels:[ ("device", device) ]
-              (i r.fd_dispatches))
-          rows;
-        typ "tangram_fleet_device_health" "gauge";
-        List.iter
-          (fun (device, r) ->
-            counter "tangram_fleet_device_health"
-              ~labels:[ ("device", device); ("state", r.fd_state) ]
-              r.fd_health)
-          rows
-  end;
-  (match kernel_rows t with
-  | [] -> ()
-  | rows ->
-      typ "tangram_kernel_requests_total" "counter";
-      List.iter
-        (fun ((arch, version), (requests, _)) ->
-          counter "tangram_kernel_requests_total"
-            ~labels:[ ("arch", arch); ("version", version) ]
-            (i requests))
-        rows;
-      typ "tangram_kernel_counter_total" "counter";
-      List.iter
-        (fun ((arch, version), (_, tot)) ->
-          List.iter
-            (fun (name, v) ->
-              counter "tangram_kernel_counter_total"
-                ~labels:[ ("arch", arch); ("version", version); ("counter", name) ]
-                v)
-            (Gpusim.Events.totals_fields tot))
-        rows);
-  (* monitoring families render only once an alert or incident fired,
-     mirroring the text report's gate *)
-  if monitoring_fired t then begin
-    typ "tangram_slo_alerts_total" "counter";
-    counter "tangram_slo_alerts_total" (i t.total_alerts);
-    List.iter
-      (fun (s, n) ->
-        counter "tangram_slo_alerts_total" ~labels:[ ("slo", s) ] (i n))
-      (alert_rows t);
-    typ "tangram_incidents_total" "counter";
-    counter "tangram_incidents_total" (i t.total_incidents);
-    List.iter
-      (fun (k, n) ->
-        counter "tangram_incidents_total" ~labels:[ ("trigger", k) ] (i n))
-      (incident_rows t)
-  end;
-  (* the monitor's windowed time-series document rides at the end: the
-     instrument families carry their own HELP/TYPE headers *)
-  (match metrics with
-  | Some m -> Buffer.add_string b (Obs.Metrics.to_prometheus m)
-  | None -> ());
-  Buffer.contents b
+let to_json t = Obs.Json.to_string (M.to_json t.reg)
+let to_prometheus t = M.to_prometheus t.reg

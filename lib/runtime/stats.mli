@@ -1,13 +1,17 @@
-(** Service metrics: cache effectiveness, latency distributions and
-    winning-version histograms, dumpable as a text report.
+(** Service metrics: cache effectiveness, latency distributions,
+    winning versions, failure, overload, fleet and monitoring events.
 
-    All counters are in-memory and monotone; recording is O(1) amortized
-    (latency samples append to growable buffers, percentiles are computed
-    at report time). *)
+    A [t] is a set of named instruments in one {!Obs.Metrics} registry:
+    counters (labelled per bucket, version, SLO, trigger or device),
+    gauges for maxima and device state, and log-bucketed histograms
+    ([tangram_latency_us{stage=...}]) for the latency series. Recording
+    is O(1) and memory is bounded by the number of distinct label
+    values, never by the number of requests. *)
 
 type t
 
-(** Summary of one latency series (microseconds, host-side wall clock). *)
+(** Summary of one latency histogram (microseconds). Quantiles read
+    bucket upper bounds (within 9%) capped at the true maximum. *)
 type series = {
   count : int;
   mean : float;
@@ -18,7 +22,14 @@ type series = {
 
 val create : unit -> t
 
-(** {1 Recording} *)
+(** The registry holding every instrument. A service monitor registers
+    its own instruments here and snapshots it into windows. *)
+val registry : t -> Obs.Metrics.t
+
+(** {1 Recording}
+
+    Host wall-clock series: [plan_us], [tune_us], [run_us], [verify_us].
+    Virtual-time series: [queue_wait_us], [backoff_us]. *)
 
 val hit : t -> bucket:string -> unit
 val miss : t -> bucket:string -> unit
@@ -31,143 +42,86 @@ val plan_us : t -> float -> unit
 val tune_us : t -> float -> unit
 val run_us : t -> float -> unit
 
-(** Record one dispatched batch: its request count and how many requests
-    were coalesced into another request's simulation. *)
+(** One dispatched batch and how many of its requests were coalesced
+    into another request's simulation. *)
 val batch : t -> size:int -> coalesced:int -> unit
 
-(** {2 Failure recording} *)
+(** {2 Failures} *)
 
-(** One transient-fault retry. *)
 val retry : t -> unit
 
-(** One version fault (timeout, corrupted result, or exhausted transient
-    retries), charged to [version]'s fault histogram. *)
+(** A timeout, corrupted result or exhausted retries, charged to
+    [version]. *)
 val fault : t -> version:string -> unit
 
-(** A circuit breaker opened (a version entered quarantine). *)
 val quarantine : t -> unit
-
-(** A request was served by a fallback rung instead of the bucket winner. *)
 val fallback : t -> unit
-
-(** A request was served by the degraded host-reference path. *)
 val degrade : t -> unit
-
-(** A request was rejected as malformed. *)
 val bad_request : t -> unit
 
 (** Simulated microseconds spent in retry backoff. *)
 val backoff_us : t -> float -> unit
 
-(** {2 Silent-data-corruption guard recording} *)
+(** {2 Silent-data-corruption guard} *)
 
-(** One witness check ran against an exact response. *)
 val sdc_check : t -> unit
-
-(** One result was confirmed as silent corruption and discarded. *)
 val sdc_catch : t -> unit
 
-(** One out-of-tolerance result reproduced deterministically: the alarm
-    is charged to the tolerance model, not the version. *)
+(** An out-of-tolerance result reproduced deterministically: charged to
+    the tolerance model, not the version. *)
 val sdc_false_alarm : t -> unit
 
-(** One redundant (dual-modular / voting) re-execution ran. *)
 val sdc_reexec : t -> unit
-
-(** Host microseconds one witness check (plus any voting) cost. *)
 val verify_us : t -> float -> unit
 
-(** {2 Overload-resilience recording}
+(** {2 Overload resilience}
 
-    Fed by {!Admission} (queueing, shedding) and by {!Service} deadline
-    budgets. All of these stay zero on a service that never overloads,
-    which is what keeps the text report byte-identical on the quiet
-    path. *)
+    Fed by {!Admission} and by {!Service} deadline budgets. *)
 
-(** One request entered the admission queue. *)
 val admit : t -> interactive:bool -> unit
-
-(** One request was shed by the admission queue (bounded-queue overflow
-    or expired-in-queue cleanup under a shed policy). *)
 val shed_request : t -> interactive:bool -> unit
-
-(** One request's deadline budget died (in queue, mid-retry or
-    mid-verify) and it was answered with [Deadline_exceeded]. *)
 val deadline_expire : t -> unit
 
-(** One request's budget died after its witness was computed; the
-    witness value served as the degraded answer instead of an error. *)
+(** A budget died after the witness was computed; the witness served. *)
 val deadline_witness_serve : t -> unit
 
-(** The brownout controller moved to [level]. *)
+(** The brownout controller moved to [level] (the max-level gauge keeps
+    the highest). *)
 val brownout_transition : t -> level:int -> unit
 
-(** One unit of optional work was shed under brownout ([what] is the
-    ladder step: ["profile"], ["reexec"], ["witness-sample"],
-    ["host-path"]). *)
+(** Optional work shed under brownout ([what]: ["profile"], ["reexec"],
+    ["witness-sample"], ["host-path"]). *)
 val brownout_shed : t -> what:string -> unit
 
-(** Virtual microseconds one admitted request waited in the queue. *)
 val queue_wait_us : t -> float -> unit
 
-(** {2 Fleet recording}
+(** {2 Fleet}
 
-    Fed by {!Fleet} through the service's fleet path. A service with no
-    fleet attached records none of these, which is what keeps the
-    fleet-less text report byte-identical. [device] is the fleet's
-    stable device label (["d0:kepler-k40c"]). *)
+    Fed by {!Fleet}; [device] is its stable label (["d0:kepler-k40c"]). *)
 
-(** One request (or hedge) dispatched to [device]. *)
 val fleet_dispatch : t -> device:string -> unit
-
-(** Latest health score of [device] (gauge, not a counter). *)
 val fleet_health : t -> device:string -> float -> unit
-
-(** Latest lifecycle state of [device] (gauge, not a counter). *)
 val fleet_state : t -> device:string -> string -> unit
-
-(** The health scorer ejected [device]. *)
 val fleet_eject : t -> device:string -> unit
-
-(** An ejected [device] passed its probes and was readmitted. *)
 val fleet_readmit : t -> device:string -> unit
-
-(** [device] fail-stopped and was marked dead. *)
 val fleet_dead : t -> device:string -> unit
-
-(** [device] was marked to drain. *)
 val fleet_drain : t -> device:string -> unit
-
-(** Warm spare [device] was promoted into the serving pool. *)
 val fleet_promote : t -> device:string -> unit
-
-(** One dispatch bounced off a dying device and was rerouted (the
-    request was not lost). *)
 val fleet_reroute : t -> unit
-
-(** A first attempt overran the hedge deadline and a speculative
-    re-dispatch fired. *)
 val fleet_hedge_fired : t -> unit
-
-(** The hedge finished first: [device] (the second device) won. *)
 val fleet_hedge_won : t -> device:string -> unit
 
-(** {2 Kernel profiling}
+(** {2 Kernel profiling and monitoring} *)
 
-    Populated only when the service has profiling enabled
-    ([Service.set_profiling]); the aggregation keys are (arch, version). *)
-
-(** Fold one served outcome's launch-counter totals into the
-    per-(arch, version) aggregate. *)
+(** Fold one served outcome's launch counters into the per-(arch,
+    version) counters; [max_heat] is a gauge keeping the maximum. *)
 val kernel : t -> arch:string -> version:string -> Gpusim.Events.totals -> unit
 
-(** {2 Monitoring recording} *)
-
-(** An SLO burn-rate alert transitioned into firing. *)
+(** An SLO burn-rate alert started firing. *)
 val alert : t -> slo:string -> unit
 
-(** The flight recorder dumped an incident bundle of [kind]
-    (["alert"], ["sdc"] or ["device-eject"]). *)
+(** The flight recorder dumped a bundle ([kind]: ["alert"], ["sdc"],
+    ["device-eject"]). *)
 val incident : t -> kind:string -> unit
 
 (** {1 Reading} *)
@@ -197,21 +151,10 @@ val sheds_batch : t -> int
 val deadline_expiries : t -> int
 val deadline_witness_serves : t -> int
 val brownout_transitions : t -> int
-
-(** Highest brownout level ever entered (0 if the controller never
-    fired). *)
 val brownout_max_level : t -> int
 
-(** Units of work shed per brownout ladder step, sorted by step name. *)
+(** Work shed per brownout step, sorted by step name. *)
 val brownout_sheds : t -> (string * int) list
-
-(** Did any overload machinery fire (shed, deadline expiry, witness
-    serve or brownout transition)? Admission traffic alone does not
-    count: a zero-load replay through the queue keeps this false and the
-    report unchanged. *)
-val overload_fired : t -> bool
-
-(** {2 Fleet reading} *)
 
 val fleet_dispatches : t -> int
 val fleet_reroutes : t -> int
@@ -222,83 +165,52 @@ val fleet_readmits : t -> int
 val fleet_deaths : t -> int
 val fleet_drains : t -> int
 val fleet_promotions : t -> int
-
-(** One device's aggregates: dispatch/hedge-win/eject/readmit counters
-    plus the last health score and lifecycle state reported for it. *)
-type fleet_row = {
-  fd_dispatches : int;
-  fd_hedge_wins : int;
-  fd_ejects : int;
-  fd_readmits : int;
-  fd_health : float;
-  fd_state : string;
-}
-
-(** Per-device rows sorted by device label; empty unless a fleet was
-    attached. *)
-val fleet_rows : t -> (string * fleet_row) list
-
-(** Did any fleet machinery fire (a dispatch, reroute, hedge or
-    lifecycle event)? False on every fleet-less service, which gates
-    the report's fleet section off. *)
-val fleet_fired : t -> bool
-
-(** {2 Monitoring reading} *)
-
 val alerts : t -> int
 val incidents : t -> int
-
-(** Alert counts per SLO name, sorted by name; empty unless an alert
-    fired. *)
-val alert_rows : t -> (string * int) list
-
-(** Incident counts per trigger kind, sorted by kind; empty unless the
-    recorder dumped. *)
-val incident_rows : t -> (string * int) list
-
-(** Did any SLO alert fire or incident dump happen? False on every
-    unmonitored (or healthy) service, which gates the report's
-    monitoring section off. *)
-val monitoring_fired : t -> bool
-
-(** Fault counts per version, most-faulting first. *)
-val fault_histogram : t -> (string * int) list
-
-(** Per-bucket (hits, misses), sorted by bucket label. *)
-val bucket_counts : t -> (string * (int * int)) list
 
 (** Serve counts per winning version, most-served first. *)
 val winner_histogram : t -> (string * int) list
 
-(** Empty series report as all-zero. *)
+(** Empty series read as all-zero. *)
 val plan_series : t -> series
 
 val tune_series : t -> series
 val run_series : t -> series
-
-(** Witness-check overhead per checked response. *)
 val verify_series : t -> series
-
-(** Virtual-time queue wait of admitted requests. *)
 val queue_wait_series : t -> series
 
-(** Aggregated kernel counters as ((arch, version), (requests, totals)),
-    sorted by (arch, version); empty unless profiling was on. *)
-val kernel_rows :
-  t -> ((string * string) * (int * Gpusim.Events.totals)) list
+(** Kernel counters as ((arch, version), (requests, fields)), sorted by
+    (arch, version); [fields] follows {!Gpusim.Events.totals_fields}.
+    Empty unless profiling was on. *)
+val kernel_rows : t -> ((string * string) * (int * (string * float) list)) list
 
-(** The text report printed by [reduce-explorer --service] and
-    [tangramc serve]. Sections gated on activity (fault tolerance, SDC
-    guard, kernel counters) are omitted when their counters are all
-    zero, so a default run's report is byte-stable across releases. *)
+(** {2 Section gates}
+
+    A report section stays absent until its machinery fires, so a quiet
+    service prints the report it always did. *)
+
+(** A shed, deadline expiry, witness serve or brownout transition.
+    Admission traffic alone does not count. *)
+val overload_fired : t -> bool
+
+(** Any fleet series exists (attaching a fleet records device state). *)
+val fleet_fired : t -> bool
+
+(** An SLO alert fired or an incident bundle was dumped. *)
+val monitoring_fired : t -> bool
+
+(** {1 Rendering} *)
+
+(** The text report of [reduce-explorer --service] and [tangramc serve].
+    Host-clocked numbers print unpadded, so the report's shape depends
+    only on which lines exist. *)
 val report : t -> string
 
-(** One JSON object mirroring {!report} with a stable key order —
-    emitting it twice from the same stats yields identical strings. *)
+(** {!Obs.Metrics.to_json} of the registry: [{"rows": [...]}], one
+    row per series in (name, labels) order; stable across calls. *)
 val to_json : t -> string
 
-(** Prometheus text exposition of every counter and latency summary,
-    including per-bucket, per-version and per-(arch, version) kernel
-    series. When a monitor's [metrics] registry is supplied, its
-    windowed time-series families are appended to the document. *)
-val to_prometheus : ?metrics:Obs.Metrics.t -> t -> string
+(** {!Obs.Metrics.to_prometheus} of the registry: counter and gauge
+    families, [tangram_latency_us] histogram families, and, once a
+    monitor has snapshotted, the windowed [_window] families. *)
+val to_prometheus : t -> string
